@@ -26,12 +26,13 @@ race:
 # cache, stats merging, supervision layer) and the tusd service layer
 # (job pool, coalescing, SSE fan-out) under the race detector,
 # including the serial-vs-parallel byte-identity tests. The zero-alloc
-# pins (SB enqueue->commit->drain, L1-hit load/store, WCB coalesce,
-# event queue) run alongside in their packages — allocation regressions
-# on the hot paths fail here, not in a profiler three PRs later.
+# pins (SB enqueue->commit->drain, filtered SB search, SSB tick+forward,
+# L1-hit load/store, WCB coalesce, event queue) run alongside in their
+# packages — allocation regressions on the hot paths fail here, not in
+# a profiler three PRs later.
 race-harness:
 	$(GO) test -race ./internal/harness/... ./internal/stats/... ./internal/supervise/... ./internal/server/...
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/cpu/ ./internal/memsys/ ./internal/wcb/ ./internal/event/ ./internal/lmap/ ./internal/harness/
+	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/cpu/ ./internal/mech/ ./internal/memsys/ ./internal/wcb/ ./internal/event/ ./internal/lmap/ ./internal/harness/
 
 # check: model-check the simulator against the operational x86-TSO
 # oracle — every litmus program × {base, CSB, TUS}, bounded-exhaustive
@@ -65,15 +66,18 @@ figs:
 figures-par:
 	$(GO) run ./cmd/tusbench -quick -j 0 -cache .tuscache -bench-out BENCH_harness.json
 
-# fuzz: both native fuzz targets on a short budget (the committed seed
+# fuzz: the native fuzz targets on a short budget (the committed seed
 # corpora under testdata/fuzz replay as plain tests in `make test`).
 # FuzzOracleVsChecker drives random small TSO programs through the
 # operational oracle and replays every allowed interleaving through the
-# online checker; FuzzWorkloadTrace shakes the workload generators.
+# online checker; FuzzWorkloadTrace shakes the workload generators;
+# FuzzStoreQueue checks the line-filtered store queue against a linear
+# scan.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/tso/ -run '^$$' -fuzz FuzzOracleVsChecker -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/workload/ -run '^$$' -fuzz FuzzWorkloadTrace -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cpu/ -run '^$$' -fuzz FuzzStoreQueue -fuzztime $(FUZZTIME)
 
 # cover: enforce the coverage floor over the layers that carry the
 # repo's behavioural contracts — the tracer and histogram code (golden/
@@ -128,12 +132,12 @@ soak:
 	$(GO) run ./cmd/tusload -tusd bin/tusd -soak -ops 2500 -parallel-ops 300 -requests 600 -duration 15s
 
 # bench: the tiered microbenchmark suite, cheapest first — container
-# ops (lmap), event queue, SB drain, WCB coalesce, L1 hit/miss +
-# directory probe, then whole-cell simulation throughput. Run with
-# -benchmem semantics baked in where it matters; compare against a
-# baseline with benchstat if available.
+# ops (lmap), event queue, SB drain + SB search, WCB coalesce, L1
+# hit/miss + directory probe, TSOB forwarding, then whole-cell
+# simulation throughput. Run with -benchmem semantics baked in where it
+# matters; compare against a baseline with benchstat if available.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 0.5s ./internal/lmap/ ./internal/event/ ./internal/cpu/ ./internal/wcb/ ./internal/memsys/
+	$(GO) test -run '^$$' -bench . -benchtime 0.5s ./internal/lmap/ ./internal/event/ ./internal/cpu/ ./internal/wcb/ ./internal/memsys/ ./internal/mech/
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkWholeCellCyclesPerSec' -benchtime 2s .
 
 # bench-diff: benchstat-style comparison of a fresh `make bench` run
@@ -143,7 +147,7 @@ bench:
 # drift reviewable (CI uploads it as an artifact). Refresh the baseline
 # with: make bench > BENCH_micro.txt
 bench-diff:
-	$(GO) test -run '^$$' -bench . -benchtime 0.5s ./internal/lmap/ ./internal/event/ ./internal/cpu/ ./internal/wcb/ ./internal/memsys/ > bench_fresh.txt
+	$(GO) test -run '^$$' -bench . -benchtime 0.5s ./internal/lmap/ ./internal/event/ ./internal/cpu/ ./internal/wcb/ ./internal/memsys/ ./internal/mech/ > bench_fresh.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkWholeCellCyclesPerSec' -benchtime 2s . >> bench_fresh.txt
 	$(GO) run ./cmd/benchdiff -old BENCH_micro.txt -new bench_fresh.txt
 

@@ -81,3 +81,64 @@ func BenchmarkDrainDisabled(b *testing.B) {
 
 // BenchmarkDrainTraced records every drain into the ring.
 func BenchmarkDrainTraced(b *testing.B) { benchDrain(b, trace.New(1<<10)) }
+
+// filteredSB returns a 114-entry SB kept at 100 executed, committed
+// stores, and a step that pushes, commits and searches one store and
+// pops the oldest: the line filter sees an insert, a hit, a miss and a
+// removal per step. Addresses walk 200 lines at two stores per line.
+func filteredSB() (sb *StoreBuffer, step func()) {
+	sb = NewStoreBuffer(114)
+	var seq uint64
+	push := func() {
+		addr := 0x10000 + (seq%400)*32
+		e := sb.Push(seq, addr, 8)
+		e.Data = [8]byte{byte(seq)}
+		sb.MarkExecuted(e)
+		e.Committed = true
+		seq++
+	}
+	for sb.Len() < 100 {
+		push()
+	}
+	step = func() {
+		push()
+		if res, _ := sb.Search(seq, 0x10000+((seq-1)%400)*32, 8); res != FwdHit {
+			panic("filtered SB: own store did not forward")
+		}
+		if res, _ := sb.Search(seq, 0x90000, 8); res != FwdMiss {
+			panic("filtered SB: unbuffered line did not miss")
+		}
+		sb.Pop()
+	}
+	return sb, step
+}
+
+// TestSearchPathZeroAlloc pins the filtered SB's steady state: push,
+// commit, two searches and a pop allocate nothing.
+func TestSearchPathZeroAlloc(t *testing.T) {
+	_, step := filteredSB()
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Fatalf("filtered SB push->search->pop allocates %.1f allocs/store, want 0", n)
+	}
+}
+
+// BenchmarkSBSearch is one forwarding search of a full 114-entry SB
+// that no buffered store aliases (the common case: the load goes on to
+// the mechanism and the L1D).
+func BenchmarkSBSearch(b *testing.B) {
+	sb := NewStoreBuffer(114)
+	for seq := uint64(0); !sb.Full(); seq++ {
+		e := sb.Push(seq, 0x10000+seq*8, 8)
+		sb.MarkExecuted(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res, _ := sb.Search(1000, 0x90000, 8); res != FwdMiss {
+			b.Fatal("no-alias search did not miss")
+		}
+	}
+}

@@ -6,7 +6,11 @@
 // CSB, and SPB policies share one core.
 package cpu
 
-import "tusim/internal/memsys"
+import (
+	"math/bits"
+
+	"tusim/internal/memsys"
+)
 
 // SBEntry is one store buffer slot. The SB is unified for non-committed
 // and committed stores, as in x86 processors (paper footnote 1).
@@ -29,19 +33,32 @@ func (e *SBEntry) Line() uint64 { return e.Addr &^ 63 }
 // Mask returns the byte mask of the entry within its line.
 func (e *SBEntry) Mask() memsys.Mask { return memsys.MaskFor(e.Addr, e.Size) }
 
-// StoreBuffer is a program-order ring of stores. Every load searches it
-// associatively (the CAM the paper's energy analysis centres on).
+// StoreBuffer is a program-order store queue that every load searches
+// associatively (the CAM the paper's energy analysis centres on). The
+// core's SB and SSB's TSOB are both StoreBuffers.
+//
+// Entries live in a power-of-two ring addressed by absolute positions
+// (slot = pos & mask), so the architectural capacity can be any size.
+// A counting filter over the buffered lines lets Search skip the scan
+// when no buffered store can share the load's line, the outcome of
+// almost every search. An entry's Addr must not change after Push: it
+// keys the filter.
 type StoreBuffer struct {
-	// entries is a power-of-two ring (indexing is a mask, not a
-	// division); capacity is the architectural size.
 	entries  []SBEntry
-	mask     int
+	mask     uint64
 	capacity int
-	head     int
+	head     uint64 // absolute position of the oldest entry
 	count    int
-	// minUnexec caches the oldest store whose address is still unknown
-	// (^0 when none), so blocked loads don't rescan the CAM each cycle.
-	minUnexec uint64
+	// lineCount[bucket(addr)] counts the buffered entries whose line
+	// hashes to that bucket, so a zero bucket proves no entry is on
+	// the line. lineShift maps the line hash to a bucket.
+	lineCount []uint32
+	lineShift uint
+	// unexec is the position of the oldest store whose address is
+	// still unknown, or head+count when every store has executed, so
+	// blocked loads don't rescan the CAM each cycle. Only executed
+	// stores are popped, so head never passes it.
+	unexec uint64
 	// Overflows counts Push attempts on a full buffer. Dispatch checks
 	// Full first, so a nonzero count means SB accounting drifted; the
 	// core surfaces it as a counted stall instead of killing the run.
@@ -53,15 +70,35 @@ type StoreBuffer struct {
 	OnPop func(*SBEntry)
 }
 
-const noUnexec = ^uint64(0)
+// lineBucketsPerSlot sizes the line filter: with 16 buckets per ring
+// slot, a full queue of distinct lines leaves at most 1 in 16 of the
+// buckets a load can hash to occupied.
+const lineBucketsPerSlot = 16
 
-// NewStoreBuffer allocates an SB with the given capacity.
+// AllOlder is the Search bound for a queue of committed stores (SSB's
+// TSOB): every buffered store is older than the searching load.
+const AllOlder = ^uint64(0)
+
+// NewStoreBuffer allocates a store queue with the given capacity.
 func NewStoreBuffer(capacity int) *StoreBuffer {
 	size := 1
 	for size < capacity {
 		size <<= 1
 	}
-	return &StoreBuffer{entries: make([]SBEntry, size), mask: size - 1, capacity: capacity, minUnexec: noUnexec}
+	buckets := size * lineBucketsPerSlot
+	return &StoreBuffer{
+		entries:   make([]SBEntry, size),
+		mask:      uint64(size - 1),
+		capacity:  capacity,
+		lineCount: make([]uint32, buckets),
+		lineShift: uint(64 - bits.TrailingZeros(uint(buckets))),
+	}
+}
+
+// bucket returns the line filter bucket of an address (Fibonacci
+// hashing of the line number).
+func (sb *StoreBuffer) bucket(addr uint64) uint64 {
+	return (addr >> 6) * 0x9e3779b97f4a7c15 >> sb.lineShift
 }
 
 // Cap returns the SB capacity.
@@ -84,31 +121,25 @@ func (sb *StoreBuffer) Push(seq, addr uint64, size uint8) *SBEntry {
 		sb.Overflows++
 		return nil
 	}
-	idx := (sb.head + sb.count) & sb.mask
+	// When every older store has executed, unexec already holds this
+	// position, so the new store becomes the oldest unexecuted one.
+	e := &sb.entries[(sb.head+uint64(sb.count))&sb.mask]
 	sb.count++
-	e := &sb.entries[idx]
 	*e = SBEntry{Seq: seq, Addr: addr, Size: size}
-	if sb.minUnexec == noUnexec {
-		sb.minUnexec = seq
-	}
+	sb.lineCount[sb.bucket(addr)]++
 	return e
 }
 
 // MarkExecuted records that the entry's address/data are now known
 // (callers must use this instead of setting Executed directly so the
-// oldest-unexecuted cache stays coherent).
+// oldest-unexecuted position stays coherent).
 func (sb *StoreBuffer) MarkExecuted(e *SBEntry) {
 	e.Executed = true
-	if e.Seq != sb.minUnexec {
+	end := sb.head + uint64(sb.count)
+	if sb.unexec == end || e != &sb.entries[sb.unexec&sb.mask] {
 		return
 	}
-	sb.minUnexec = noUnexec
-	for i := 0; i < sb.count; i++ {
-		x := sb.at(i)
-		if !x.Executed {
-			sb.minUnexec = x.Seq
-			return
-		}
+	for sb.unexec++; sb.unexec < end && sb.entries[sb.unexec&sb.mask].Executed; sb.unexec++ {
 	}
 }
 
@@ -117,7 +148,7 @@ func (sb *StoreBuffer) Head() *SBEntry {
 	if sb.count == 0 {
 		return nil
 	}
-	return &sb.entries[sb.head]
+	return &sb.entries[sb.head&sb.mask]
 }
 
 // Pop removes the oldest entry (after it drained to the memory system).
@@ -126,16 +157,18 @@ func (sb *StoreBuffer) Pop() {
 		// Invariant: mechanisms pop only after Head() returned non-nil.
 		panic("cpu: pop from empty store buffer")
 	}
+	e := &sb.entries[sb.head&sb.mask]
 	if sb.OnPop != nil {
-		sb.OnPop(&sb.entries[sb.head])
+		sb.OnPop(e)
 	}
-	sb.head = (sb.head + 1) & sb.mask
+	sb.lineCount[sb.bucket(e.Addr)]--
+	sb.head++
 	sb.count--
 }
 
 // at returns the i-th oldest entry (0 = head).
 func (sb *StoreBuffer) at(i int) *SBEntry {
-	return &sb.entries[(sb.head+i)&sb.mask]
+	return &sb.entries[(sb.head+uint64(i))&sb.mask]
 }
 
 // ForwardResult classifies an SB search for a load.
@@ -154,28 +187,26 @@ const (
 )
 
 // Search performs the associative store-to-load forwarding lookup for a
-// load at loadSeq. Only stores older than the load participate. An
-// older store whose address is not yet known conservatively blocks the
-// load (no memory speculation).
+// load at loadSeq (AllOlder for the TSOB). Only stores older than the
+// load participate. An older store whose address is not yet known
+// conservatively blocks the load (no memory speculation).
 func (sb *StoreBuffer) Search(loadSeq, addr uint64, size uint8) (ForwardResult, [8]byte) {
 	var zero [8]byte
-	if sb.minUnexec < loadSeq {
-		// An older store's address is unknown: conservative conflict
-		// (fast path — no CAM scan needed).
+	if sb.unexec != sb.head+uint64(sb.count) && sb.entries[sb.unexec&sb.mask].Seq < loadSeq {
+		// An older store's address is unknown: conservative conflict.
 		return FwdConflict, zero
+	}
+	if sb.lineCount[sb.bucket(addr)] == 0 {
+		// No buffered store is on the load's line.
+		return FwdMiss, zero
 	}
 	want := memsys.MaskFor(addr, size)
 	line := addr &^ 63
-	// Scan youngest -> oldest.
+	// Every store older than the load is executed, so only same-line
+	// entries can decide the result. Scan youngest -> oldest.
 	for i := sb.count - 1; i >= 0; i-- {
 		e := sb.at(i)
-		if e.Seq >= loadSeq {
-			continue
-		}
-		if !e.Executed {
-			return FwdConflict, zero
-		}
-		if e.Line() != line {
+		if e.Seq >= loadSeq || e.Line() != line {
 			continue
 		}
 		m := e.Mask()
@@ -212,19 +243,4 @@ func (sb *StoreBuffer) LookaheadLines(k int, visit func(line uint64)) {
 		seen++
 		visit(ln)
 	}
-}
-
-// OldestUnexecutedBefore reports whether any store older than seq has
-// not generated its address yet (blocks load issue conservatively).
-func (sb *StoreBuffer) OldestUnexecutedBefore(seq uint64) bool {
-	for i := 0; i < sb.count; i++ {
-		e := sb.at(i)
-		if e.Seq >= seq {
-			return false
-		}
-		if !e.Executed {
-			return true
-		}
-	}
-	return false
 }

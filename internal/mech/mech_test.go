@@ -18,9 +18,10 @@ type rig struct {
 	st   *stats.Set
 	mem  *memsys.Memory
 	priv *memsys.Private
+	mech cpu.DrainMechanism
 }
 
-func newRig(t *testing.T, ops []isa.MicroOp, mechName string, mut func(*config.Config)) *rig {
+func newRig(t testing.TB, ops []isa.MicroOp, mechName string, mut func(*config.Config)) *rig {
 	t.Helper()
 	cfg := config.Default()
 	cfg.StreamPrefetcher = false
@@ -47,7 +48,7 @@ func newRig(t *testing.T, ops []isa.MicroOp, mechName string, mut func(*config.C
 		t.Fatalf("unknown mech %q", mechName)
 	}
 	core.SetMechanism(m)
-	return &rig{q: q, core: core, st: st, mem: mem, priv: priv}
+	return &rig{q: q, core: core, st: st, mem: mem, priv: priv, mech: m}
 }
 
 func (r *rig) run(t *testing.T, maxCycles int) {

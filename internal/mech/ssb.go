@@ -22,9 +22,7 @@ type SSB struct {
 	cfg  *config.Config
 	q    *event.Queue
 
-	tsob  []cpu.SBEntry
-	head  int
-	count int
+	tsob *cpu.StoreBuffer
 
 	requested bool
 	// llcInflight models the shared-cache write port: SSB performs a
@@ -41,6 +39,11 @@ type SSB struct {
 	hTSOBOcc *stats.Histogram
 
 	tr *trace.Tracer
+
+	// requestAheadFn and llcWriteDoneFn are bound once at construction
+	// (a method value expression allocates on every evaluation).
+	requestAheadFn func(line uint64)
+	llcWriteDoneFn func()
 }
 
 // ssbLookahead is how many distinct TSOB lines ahead of the drain head
@@ -53,12 +56,12 @@ const ssbLLCWritePort = 16
 
 // NewSSB builds the idealized SSB with cfg.TSOBEntries slots.
 func NewSSB(core *cpu.Core, cfg *config.Config, q *event.Queue, st *stats.Set) *SSB {
-	return &SSB{
+	s := &SSB{
 		core:      core,
 		priv:      core.Priv(),
 		cfg:       cfg,
 		q:         q,
-		tsob:      make([]cpu.SBEntry, cfg.TSOBEntries),
+		tsob:      cpu.NewStoreBuffer(cfg.TSOBEntries),
 		cDrained:  st.Counter("stores_drained"),
 		cLLCWrite: st.Counter("ssb_llc_writes"),
 		cBlocked:  st.Counter("drain_blocked_cycles"),
@@ -66,6 +69,9 @@ func NewSSB(core *cpu.Core, cfg *config.Config, q *event.Queue, st *stats.Set) *
 		cSearches: st.Counter("tsob_searches"),
 		hTSOBOcc:  st.Histogram("tsob_occupancy"),
 	}
+	s.requestAheadFn = s.requestAhead
+	s.llcWriteDoneFn = s.llcWriteDone
+	return s
 }
 
 // SetTracer attaches (or detaches, with nil) the lifecycle tracer.
@@ -74,49 +80,33 @@ func (s *SSB) SetTracer(t *trace.Tracer) { s.tr = t }
 // Name implements cpu.DrainMechanism.
 func (s *SSB) Name() string { return config.SSB.String() }
 
-func (s *SSB) at(i int) *cpu.SBEntry { return &s.tsob[(s.head+i)%len(s.tsob)] }
-
 // Tick moves committed stores into the TSOB (up to commit width per
 // cycle, store-wait-free) and drains the TSOB head (one per cycle).
 func (s *SSB) Tick() {
 	for n := 0; n < s.cfg.CommitWidth; n++ {
 		e := s.core.SB.Head()
-		if e == nil || !e.Committed || s.count == len(s.tsob) {
+		if e == nil || !e.Committed || s.tsob.Full() {
 			break
 		}
-		*s.at(s.count) = *e
-		s.count++
-		s.tr.Emit(trace.TSOBEnqueue, int32(s.core.ID), s.q.Now(), e.Addr, e.Seq, uint64(s.count))
+		s.enqueue(e)
+		s.tr.Emit(trace.TSOBEnqueue, int32(s.core.ID), s.q.Now(), e.Addr, e.Seq, uint64(s.tsob.Len()))
 		s.core.SB.Pop()
 	}
-	if uint64(s.count) > s.cPeak.Value() {
+	count := uint64(s.tsob.Len())
+	if count > s.cPeak.Value() {
 		// Track peak occupancy via a counter (monotone).
-		s.cPeak.Add(uint64(s.count) - s.cPeak.Value())
+		s.cPeak.Add(count - s.cPeak.Value())
 	}
-	s.hTSOBOcc.Observe(uint64(s.count))
-	if s.count == 0 {
+	s.hTSOBOcc.Observe(count)
+	if count == 0 {
 		return
 	}
 	// Drain lookahead: keep write-permission requests in flight for the
 	// next few distinct lines so the deep TSOB drains with memory-level
 	// parallelism (a store that committed a thousand entries ago has
 	// long lost its prefetch-at-commit line from the L1D).
-	seen := 0
-	var last uint64 = ^uint64(0)
-	for i := 0; i < s.count && seen < ssbLookahead; i++ {
-		ln := s.at(i).Line()
-		if ln == last {
-			continue
-		}
-		last = ln
-		seen++
-		if !s.priv.Writable(ln) {
-			// Demand-class: the idealized SSB keeps its drain window's
-			// RFOs on the fast path.
-			s.priv.RequestWritable(ln, false, false, nil)
-		}
-	}
-	h := s.at(0)
+	s.tsob.LookaheadLines(ssbLookahead, s.requestAheadFn)
+	h := s.tsob.Head()
 	line := h.Line()
 	if s.llcInflight >= ssbLLCWritePort {
 		// Shared-cache write port saturated: the uncoalesced
@@ -131,10 +121,9 @@ func (s *SSB) Tick() {
 			// count the energy event.
 			s.cLLCWrite.Inc()
 			s.llcInflight++
-			s.q.After(s.cfg.L2.Latency, func() { s.llcInflight-- })
+			s.q.After(s.cfg.L2.Latency, s.llcWriteDoneFn)
 			s.tr.Emit(trace.StoreVisibleEv, int32(s.core.ID), s.q.Now(), h.Addr, h.Seq, 0)
-			s.head = (s.head + 1) % len(s.tsob)
-			s.count--
+			s.tsob.Pop()
 			s.requested = false
 			s.cDrained.Inc()
 			return
@@ -146,35 +135,34 @@ func (s *SSB) Tick() {
 	s.cBlocked.Inc()
 }
 
+// enqueue copies a committed SB store to the TSOB tail.
+func (s *SSB) enqueue(e *cpu.SBEntry) {
+	t := s.tsob.Push(e.Seq, e.Addr, e.Size)
+	t.Data, t.Committed = e.Data, true
+	s.tsob.MarkExecuted(t)
+}
+
+// requestAhead issues a drain-lookahead RFO for a TSOB line.
+func (s *SSB) requestAhead(line uint64) {
+	if !s.priv.Writable(line) {
+		// Demand-class: the idealized SSB keeps its drain window's
+		// RFOs on the fast path.
+		s.priv.RequestWritable(line, false, false, nil)
+	}
+}
+
+// llcWriteDone frees the shared-cache write-port slot of a drained store.
+func (s *SSB) llcWriteDone() { s.llcInflight-- }
+
 // Forward searches the TSOB youngest-first (idealized: free and at
 // forwarding latency).
 func (s *SSB) Forward(addr uint64, size uint8) (cpu.ForwardResult, [8]byte) {
-	var zero [8]byte
-	want := memsys.MaskFor(addr, size)
-	line := addr &^ 63
 	s.cSearches.Inc()
-	for i := s.count - 1; i >= 0; i-- {
-		e := s.at(i)
-		if e.Line() != line {
-			continue
-		}
-		m := e.Mask()
-		if !m.Overlaps(want) {
-			continue
-		}
-		if !m.Covers(want) {
-			return cpu.FwdConflict, zero
-		}
-		var out [8]byte
-		off := int(addr&63) - int(e.Addr&63)
-		copy(out[:size], e.Data[off:off+int(size)])
-		return cpu.FwdHit, out
-	}
-	return cpu.FwdMiss, zero
+	return s.tsob.Search(cpu.AllOlder, addr, size)
 }
 
 // Drained implements cpu.DrainMechanism.
-func (s *SSB) Drained() bool { return s.count == 0 }
+func (s *SSB) Drained() bool { return s.tsob.Empty() }
 
 // FlushDone implements cpu.DrainMechanism.
-func (s *SSB) FlushDone() bool { return s.count == 0 }
+func (s *SSB) FlushDone() bool { return s.tsob.Empty() }
